@@ -491,3 +491,87 @@ func BenchmarkTable1JQuery10GuardLive(b *testing.B) {
 	}
 	b.ReportMetric(boolMetric(row.Baseline.Completed && row.Spec.Completed && row.DetDOM.Completed), "all-ok")
 }
+
+// ---------------------------------------------------------------------------
+// Fact cache on the serving path: one jQuery 1.0 AnalyzeProgram, as a
+// /v1/analyze request runs it, in three states of the cache. Compilation
+// is outside the timed region (detserve serves it from the compile
+// cache), so each case times exactly the analysis call:
+//
+//   - cold: a fresh DB every iteration — the full run plus the store;
+//   - warm-memory: the handle that stored the run — an in-memory hit;
+//   - warm-disk: a fresh handle on the populated DB — a disk hit.
+//
+// EXPERIMENTS.md § Incremental memoization records the medians; a memory
+// hit must cost at most half a cold run.
+
+func BenchmarkFactCacheJQuery10(b *testing.B) {
+	src := workload.JQuery(workload.JQ10)
+	compiler := determinacy.NewCache(0)
+	compile := func(b *testing.B) *determinacy.Program {
+		p, err := compiler.Compile("jquery.js", src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	analyze := func(b *testing.B, fc *determinacy.FactCache) {
+		b.StopTimer()
+		p := compile(b)
+		b.StartTimer()
+		if _, err := determinacy.AnalyzeProgram(p, determinacy.Options{WithDOM: true, FactCache: fc}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	open := func(b *testing.B, dir string) *determinacy.FactCache {
+		fc, err := determinacy.OpenFactCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fc
+	}
+	primed := func(b *testing.B) (string, *determinacy.FactCache) {
+		dir := b.TempDir()
+		fc := open(b, dir)
+		analyze(b, fc)
+		if st := fc.Internal().Stats(); st.Stores != 1 {
+			b.Fatalf("jQuery 1.0 run was not cached: %+v", st)
+		}
+		return dir, fc
+	}
+
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fc := open(b, b.TempDir())
+			b.StartTimer()
+			analyze(b, fc)
+			if st := fc.Internal().Stats(); st.Stores != 1 {
+				b.Fatalf("cold run did not store: %+v", st)
+			}
+		}
+	})
+	b.Run("warm-memory", func(b *testing.B) {
+		_, fc := primed(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			analyze(b, fc)
+		}
+		if st := fc.Internal().Stats(); st.Hits != int64(b.N) {
+			b.Fatalf("warm-memory: %d hits over %d runs", st.Hits, b.N)
+		}
+	})
+	b.Run("warm-disk", func(b *testing.B) {
+		dir, _ := primed(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fc := open(b, dir)
+			b.StartTimer()
+			analyze(b, fc)
+			if st := fc.Internal().Stats(); st.Hits != 1 {
+				b.Fatalf("warm-disk run missed: %+v", st)
+			}
+		}
+	})
+}

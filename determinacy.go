@@ -183,10 +183,10 @@ type Options struct {
 	// statistics are identical for every setting; see internal/batch.
 	Workers int
 
-	// FactCache, when non-nil, memoizes completed analyses at function
-	// granularity in an on-disk fact database — the L2 cache under the
-	// compile cache: a re-submitted (source, options) pair is served from
-	// cached facts without re-executing, byte-identical to a fresh run.
+	// FactCache, when non-nil, memoizes completed analyses in an on-disk
+	// fact database, one record per (source, options) pair — the L2 cache
+	// under the compile cache: a re-submitted pair is served from cached
+	// facts without re-executing, byte-identical to a fresh run.
 	// Partial, degraded, errored, or eval-containing runs never populate
 	// it. The engine is not part of the cache key (both engines are
 	// byte-identical by contract), so warm hits serve across engines. See
@@ -328,8 +328,8 @@ func degrade(res *Result, a *core.Analysis, runErr error, reason DegradeReason) 
 	return res, nil
 }
 
-// FactCache is the public handle on an on-disk function-level fact
-// database (internal/factcache) — the L2 cache under the compile cache.
+// FactCache is the public handle on an on-disk fact database
+// (internal/factcache) — the L2 cache under the compile cache.
 // One FactCache is safe to share across concurrent analyses and across
 // engines; see Options.FactCache for the memoization contract.
 type FactCache struct{ c *factcache.Cache }
@@ -344,7 +344,7 @@ func OpenFactCache(dir string) (*FactCache, error) {
 }
 
 // WithMetrics attaches a metrics registry; the cache then maintains
-// factcache_* hit/miss/join/invalidation series live. Returns the cache
+// factcache_* hit/miss/store/invalidation series live. Returns the cache
 // for chaining.
 func (f *FactCache) WithMetrics(m *Metrics) *FactCache {
 	f.c.WithMetrics(m)
@@ -379,28 +379,11 @@ func factSig(opts Options) factcache.Sig {
 	return sig
 }
 
-// captureWriter tees console output for caching, bounded so a printing
-// loop can't balloon the fact DB; overflowing runs simply aren't cached.
-type captureWriter struct {
-	b        []byte
-	overflow bool
-}
-
-func (w *captureWriter) Write(p []byte) (int, error) {
-	if len(w.b)+len(p) > factcache.MaxOutputBytes {
-		w.overflow = true
-	} else {
-		w.b = append(w.b, p...)
-	}
-	return len(p), nil
-}
-
 // memoState carries one analyzeLowered call's fact-cache context.
 type memoState struct {
 	fc  *factcache.Cache
 	key factcache.Key
-	rec *factcache.Recorder
-	out *captureWriter
+	out *factcache.Capture
 }
 
 // skip records a non-cacheable outcome, tolerating absent memoization.
@@ -415,10 +398,9 @@ func (m *memoState) skip(reason string) {
 // it), so callers sharing a cached compile must pass a fresh Clone.
 //
 // With Options.FactCache set, a completed run is memoized and an exact
-// re-submission is served from the cache: the fact store is stitched from
-// per-function chunks through the ordinary Store.Record path, and output,
-// statistics and handler count replay from the manifest, so a warm result
-// is byte-identical to a cold one. Only clean completions are stored —
+// re-submission is served from the cache: the fact store is rebuilt from
+// the cached record, and output, statistics and handler count replay from
+// its header, so a warm result is byte-identical to a cold one. Only clean completions are stored —
 // every degraded, errored or eval-lowering path skips the cache.
 func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts Options) (*Result, error) {
 	tr := opts.Tracer
@@ -443,10 +425,7 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		if tr != nil {
 			tr.Event(obs.Event{Kind: obs.EvCache, Phase: "factcache", Detail: "miss"})
 		}
-		// Incremental report: which functions changed since the last cached
-		// run of this (program, options) anchor.
-		fc.Diff(key, mod)
-		memo = &memoState{fc: fc, key: key, rec: factcache.NewRecorder(), out: &captureWriter{}}
+		memo = &memoState{fc: fc, key: key, out: &factcache.Capture{}}
 		if coreOut != nil {
 			coreOut = io.MultiWriter(coreOut, memo.out)
 		} else {
@@ -470,9 +449,6 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		Deadline:               opts.Deadline,
 		Engine:                 opts.Engine,
 		Metrics:                opts.Metrics,
-	}
-	if memo != nil {
-		coreOpts.OnEnterFunc = memo.rec.OnEnter
 	}
 	a := core.New(mod, store, coreOpts)
 	res := &Result{prog: prog, mod: mod, store: store, staticInstrs: mod.NumInstrs, tracer: tr}
@@ -515,15 +491,12 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 	}
 	res.Stats = a.Stats()
 	if memo != nil {
-		switch {
-		case mod.NumInstrs > res.staticInstrs:
+		if mod.NumInstrs > res.staticInstrs {
 			// Runtime eval lowered fresh instructions whose IDs are not
 			// stable across executions; such runs are never cacheable.
 			memo.skip("eval")
-		case memo.out.overflow:
-			memo.skip("output-cap")
-		default:
-			memo.fc.Store(memo.key, mod, store, memo.rec, memo.out.b, res.Stats, res.HandlersRan)
+		} else {
+			memo.fc.Store(memo.key, store, memo.out, res.Stats, res.HandlersRan)
 		}
 	}
 	return res, nil

@@ -61,8 +61,8 @@ const ForwardedHeader = "X-Cluster-Forwarded"
 const DigestHeader = "X-Relay-Digest"
 
 // CachePath is the remote fact-cache endpoint served by every node:
-// GET CachePath?key=<factcache key id> answers the raw framed records
-// (manifest then chunks) or 404.
+// GET CachePath?key=<factcache key id> answers the raw framed record or
+// 404.
 const CachePath = "/v1/cluster/cache"
 
 // Topology names the fleet: this node plus every peer's base URL. The

@@ -11,7 +11,7 @@ import (
 	"determinacy/internal/guard/faultinject"
 )
 
-// Fetch consults the owning peer for the raw framed fact-cache records of
+// Fetch consults the owning peer for the raw framed fact-cache record of
 // keyID (a factcache key id). routeKey is the bare source hash — the same
 // key /v1/analyze forwarding shards on — so the lookup lands on the node
 // that analyzed the program and therefore holds its facts (an empty
@@ -22,7 +22,7 @@ import (
 // answered within HedgeDelay, a second identical request races it and the
 // first response wins (cluster_hedges_total counts the extra requests).
 // Returned bytes are NOT validated here — factcache unframes and
-// CRC-checks every record on import, so a peer serving bit-flipped or
+// CRC-checks the record on import, so a peer serving bit-flipped or
 // version-skewed records is discarded there, counted by reason, and the
 // program is analyzed locally.
 func (r *Router) Fetch(keyID, routeKey string) (data []byte, ok bool) {

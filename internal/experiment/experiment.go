@@ -143,22 +143,6 @@ func dynamicSig(detDOM bool, cfg Config) factcache.Sig {
 	}
 }
 
-// discardCapture tees the (discarded) console output into a bounded buffer
-// so a cached run replays it; see factcache.MaxOutputBytes.
-type discardCapture struct {
-	b        []byte
-	overflow bool
-}
-
-func (w *discardCapture) Write(p []byte) (int, error) {
-	if len(w.b)+len(p) > factcache.MaxOutputBytes {
-		w.overflow = true
-	} else {
-		w.b = append(w.b, p...)
-	}
-	return len(p), nil
-}
-
 // RunDynamic executes src under the instrumented interpreter with the DOM
 // emulation, driving registered event handlers afterwards. With
 // cfg.FactCache set, a completed run (no error, no flush-cap stop, no
@@ -173,8 +157,7 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 
 	var (
 		key     factcache.Key
-		rec     *factcache.Recorder
-		capture *discardCapture
+		capture *factcache.Capture
 	)
 	coreOut := io.Writer(io.Discard)
 	if cfg.FactCache != nil {
@@ -185,9 +168,7 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 				Stats: hit.Stats, HandlersRan: hit.HandlersRan,
 			}, nil
 		}
-		cfg.FactCache.Diff(key, mod)
-		rec = factcache.NewRecorder()
-		capture = &discardCapture{}
+		capture = &factcache.Capture{}
 		coreOut = capture
 	}
 
@@ -203,9 +184,6 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 		Deadline:   cfg.Deadline,
 		Engine:     cfg.Engine,
 		Metrics:    cfg.Metrics,
-	}
-	if rec != nil {
-		coreOpts.OnEnterFunc = rec.OnEnter
 	}
 	a := core.New(mod, store, coreOpts)
 	doc := dom.NewDocument(dom.Options{})
@@ -240,10 +218,8 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 			cfg.FactCache.Skip("partial")
 		case mod.NumInstrs > staticInstrs:
 			cfg.FactCache.Skip("eval")
-		case capture.overflow:
-			cfg.FactCache.Skip("output-cap")
 		default:
-			cfg.FactCache.Store(key, mod, store, rec, capture.b, out.Stats, out.HandlersRan)
+			cfg.FactCache.Store(key, store, capture, out.Stats, out.HandlersRan)
 		}
 	}
 	return out, nil

@@ -1,25 +1,16 @@
-// Package factcache memoizes determinacy analysis results at function
-// granularity in an on-disk, content-addressed fact database — the L2
-// layer under the front-end compile cache (internal/batch/progcache, L1).
+// Package factcache memoizes completed determinacy analyses in an on-disk
+// fact database — the L2 layer under the front-end compile cache
+// (internal/batch/progcache, L1).
 //
-// A completed run is split into per-function fact chunks, each keyed by
-// the content hash of the function's body plus the folded determinacy
-// signature of its inputs at entry (core.EntrySig) and the heap-flush
-// epoch span it was observed over — heap flushes are the analysis' sound
-// join points (§4 of the paper), so they are the boundaries at which
-// cached facts can be stitched back into a live result. A manifest ties
-// the chunks of one (program, options) pair together with the global
-// recording-order interleaving, the console output, and the run
-// statistics; serving a warm hit replays the chunks through the ordinary
-// Store.Record path and is therefore byte-identical to re-running the
-// analysis — the property internal/diffcheck's memoization oracle checks.
-//
-// On a re-submission whose source changed, the full key misses but a
-// per-(program, options) head still names the previous manifest; Diff
-// compares per-function body hashes against it so the incremental cost is
-// visible (factcache_fn_{unchanged,changed}_total), and unchanged
-// functions' chunks deduplicate in the object store when the new run is
-// recorded.
+// A completed run is stored as one CRC-framed record per Key, at a path
+// derived from the key id. The record's payload is a one-line JSON header
+// (key id, console output, run statistics, handler count, occurrence cap)
+// followed by the facts in the facts.Store.Encode wire form. Reading a
+// record replays the facts through the ordinary Store.Record path, so a
+// warm hit is byte-identical to re-running the analysis — the property
+// internal/diffcheck's memoization oracle checks. A small in-memory LRU
+// keeps decoded records (facts.Frozen); a repeat hit in one process thaws
+// a copy without parsing JSON.
 //
 // Eligibility is decided by callers (only they see partiality): partial,
 // degraded, errored, or eval-containing runs must NEVER populate the
@@ -30,27 +21,53 @@
 package factcache
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
 
 	"determinacy/internal/core"
 	"determinacy/internal/facts"
-	"determinacy/internal/ir"
 	"determinacy/internal/obs"
 )
 
-// DefaultMemEntries bounds the in-memory LRU of decoded manifests; disk
-// entries are unbounded (content-addressed objects dedup naturally).
+// Schema versions the logical cache content (key derivation and record
+// shape) independently of the storage framing: a Schema bump changes every
+// key, so old entries become unreachable rather than misread.
+const Schema = 2
+
+// DefaultMemEntries bounds the in-memory LRU of decoded records; disk
+// entries are unbounded.
 const DefaultMemEntries = 64
 
 // MaxOutputBytes caps the console output a cached run may carry; runs
 // printing more are not cached (skip reason "output-cap").
 const MaxOutputBytes = 1 << 20
+
+// Capture tees a run's console output for Store. It stops buffering past
+// MaxOutputBytes, so a printing loop can't balloon the fact DB.
+type Capture struct {
+	b        []byte
+	overflow bool
+}
+
+// Write buffers p while the capture stays within MaxOutputBytes; it never
+// fails.
+func (w *Capture) Write(p []byte) (int, error) {
+	if len(w.b)+len(p) > MaxOutputBytes {
+		w.overflow = true
+	} else {
+		w.b = append(w.b, p...)
+	}
+	return len(p), nil
+}
 
 // Sig is the canonical signature of every analysis option that shapes
 // facts, statistics or output. Sinks (Out, Tracer, Metrics), scheduling
@@ -101,20 +118,22 @@ func (s Sig) canon() []byte {
 	return b
 }
 
+func hashString(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
 // Key addresses one (program, options) pair in the cache.
 type Key struct {
 	id    string // full address: schema + file + source hash + options
-	head  string // diff anchor: same minus the source hash
 	route string // bare source hash: the cluster's content-routing key
 }
 
 // KeyFor derives the cache key for a program and its options signature.
 func KeyFor(file, source string, sig Sig) Key {
-	sb := string(sig.canon())
 	sh := hashString(source)
 	return Key{
-		id:    hashString(fmt.Sprintf("key\x00%d\x00%s\x00%s\x00%s", Schema, file, sh, sb)),
-		head:  hashString(fmt.Sprintf("head\x00%d\x00%s\x00%s", Schema, file, sb)),
+		id:    hashString(fmt.Sprintf("key\x00%d\x00%s\x00%s\x00%s", Schema, file, sh, sig.canon())),
 		route: sh,
 	}
 }
@@ -132,7 +151,7 @@ func (k Key) Zero() bool { return k.id == "" }
 
 // Hit is a warm result: everything a cold run would have produced.
 type Hit struct {
-	// Store is a freshly stitched fact store; the caller owns it.
+	// Store is a fresh copy of the cached facts; the caller owns it.
 	Store *facts.Store
 	// Output is the run's console bytes.
 	Output []byte
@@ -140,26 +159,88 @@ type Hit struct {
 	Stats core.Stats
 	// HandlersRan counts the DOM handlers the cold run drove.
 	HandlersRan int
-	// Chunks is the number of function chunks stitched into Store.
-	Chunks int
-}
-
-// DiffReport summarizes a per-function IR diff against the previous cached
-// manifest for the same (program, options) anchor.
-type DiffReport struct {
-	Total     int // functions in the current lowering
-	Unchanged int // body hash present in the previous manifest
-	Changed   int // new or modified bodies that need re-analysis
 }
 
 // CacheStats is a point-in-time snapshot of cache activity, for tests and
 // diagnostics; the live series go to the attached metrics registry.
+// Stores counts records written: a store that finds an identical valid
+// record already in place writes nothing and is not counted.
 type CacheStats struct {
-	Hits, Misses, Stores, Joins  int64
-	Invalidations, Skips         int64
-	ChunksWritten, ChunksDeduped int64
-	FnUnchanged, FnChanged       int64
-	RemoteHits, RemoteInvalid    int64
+	Hits, Misses, Stores      int64
+	Invalidations, Skips      int64
+	RemoteHits, RemoteInvalid int64
+}
+
+// header is the first line of a record's payload: everything a warm hit
+// replays besides the facts themselves.
+type header struct {
+	Key         string     `json:"key"`
+	Output      []byte     `json:"output,omitempty"`
+	Stats       core.Stats `json:"stats"`
+	HandlersRan int        `json:"handlers,omitempty"`
+	MaxSeq      int        `json:"maxseq"`
+}
+
+// entry is a decoded record as the memory LRU keeps it; every hit thaws
+// its own store from the frozen facts.
+type entry struct {
+	key   string
+	hdr   header
+	facts *facts.Frozen
+}
+
+var (
+	// errSchema reports a record whose frame validates but whose payload
+	// does not decode.
+	errSchema = errors.New("factcache: undecodable record")
+	// errMismatch reports a valid record for another key — one copied or
+	// renamed under the wrong path, or a peer answering for a different
+	// program. It reads as corruption.
+	errMismatch = fmt.Errorf("%w: record belongs to another key", ErrCorrupt)
+)
+
+// encodeRecord renders a record payload: the JSON header line, then the
+// facts in the facts wire form.
+func encodeRecord(h *header, store *facts.Store) ([]byte, error) {
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(h); err != nil {
+		return nil, fmt.Errorf("factcache: encode header: %w", err)
+	}
+	if err := store.Encode(&b); err != nil {
+		return nil, fmt.Errorf("factcache: encode facts: %w", err)
+	}
+	return b.Bytes(), nil
+}
+
+// decodeRecord parses a record payload and checks that it belongs to
+// keyID.
+func decodeRecord(payload []byte, keyID string) (*header, *facts.Store, error) {
+	line, body, ok := bytes.Cut(payload, []byte{'\n'})
+	hdr := &header{}
+	if !ok || json.Unmarshal(line, hdr) != nil {
+		return nil, nil, errSchema
+	}
+	if hdr.Key != keyID {
+		return nil, nil, errMismatch
+	}
+	store := facts.NewStore()
+	store.MaxSeq = hdr.MaxSeq
+	if err := store.Load(bytes.NewReader(body)); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", errSchema, err)
+	}
+	return hdr, store, nil
+}
+
+// reasonFor classifies a read or decode error for the invalidation series.
+func reasonFor(err error) string {
+	switch {
+	case errors.Is(err, ErrVersion):
+		return "version"
+	case errors.Is(err, errSchema):
+		return "schema"
+	default:
+		return "corrupt"
+	}
 }
 
 // Cache is the fact cache: an on-disk DB plus a small in-memory LRU of
@@ -168,20 +249,13 @@ type Cache struct {
 	db *DB
 
 	mu     sync.Mutex
-	mem    map[string]*memEntry
-	lru    *list.List // front = most recently used; values are *memEntry
+	mem    map[string]*list.Element // values are *entry
+	lru    *list.List               // front = most recently used
 	maxMem int
 
 	remote  Remote // optional L3 tier consulted on local miss
 	metrics *obs.Metrics
 	stats   CacheStats
-}
-
-type memEntry struct {
-	key    string
-	elem   *list.Element
-	man    *manifest
-	chunks []*chunkPayload
 }
 
 // Open creates or opens a fact cache rooted at dir.
@@ -192,7 +266,7 @@ func Open(dir string) (*Cache, error) {
 	}
 	return &Cache{
 		db:     db,
-		mem:    map[string]*memEntry{},
+		mem:    map[string]*list.Element{},
 		lru:    list.New(),
 		maxMem: DefaultMemEntries,
 	}, nil
@@ -217,8 +291,10 @@ func (c *Cache) Stats() CacheStats {
 	return c.stats
 }
 
-// count bumps a local stat and the matching metrics series under c.mu.
-func (c *Cache) countLocked(stat *int64, name string) {
+// count bumps a local stat and the matching metrics series.
+func (c *Cache) count(stat *int64, name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	*stat++
 	if c.metrics != nil {
 		c.metrics.Counter(name).Inc()
@@ -226,155 +302,95 @@ func (c *Cache) countLocked(stat *int64, name string) {
 }
 
 // Skip records that a run was deliberately not cached and why ("partial",
-// "error", "eval", "output-cap", "unmapped"). The eligibility decision
-// lives with callers; the taxonomy lives here so every layer shares one
-// series.
+// "error", "eval", "output-cap"). The eligibility decision lives with
+// callers; the taxonomy lives here so every layer shares one series.
 func (c *Cache) Skip(reason string) {
+	c.count(&c.stats.Skips, fmt.Sprintf("factcache_skips_total{reason=%q}", reason))
+}
+
+// invalidate drops a broken record so the next lookup is a clean miss,
+// and publishes the reason.
+func (c *Cache) invalidate(key Key, reason string) {
+	c.db.Remove(key.id)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.countLocked(&c.stats.Skips, fmt.Sprintf("factcache_skips_total{reason=%q}", reason))
-}
-
-// invalidate drops a broken entry: the head pointer is removed so the next
-// lookup is a clean miss, and the reason is published.
-func (c *Cache) invalidate(key Key, reason string, objectID string) {
-	c.db.RemoveHead(key.id)
-	if objectID != "" {
-		c.db.RemoveObject(objectID)
+	if el, ok := c.mem[key.id]; ok {
+		c.lru.Remove(el)
+		delete(c.mem, key.id)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.mem, key.id)
-	c.countLocked(&c.stats.Invalidations, fmt.Sprintf("factcache_invalidations_total{reason=%q}", reason))
+	c.mu.Unlock()
+	c.count(&c.stats.Invalidations, fmt.Sprintf("factcache_invalidations_total{reason=%q}", reason))
 }
 
-// reasonFor classifies a read error for the invalidation series.
-func reasonFor(err error) string {
-	switch {
-	case IsNotExist(err):
-		return "missing"
-	case errors.Is(err, ErrVersion):
-		return "version"
-	default:
-		return "corrupt"
-	}
-}
-
-// Lookup serves a warm result for key, stitching a fresh fact store from
-// the cached chunks. ok is false on a miss; any invalid on-disk state
-// (truncation, bit flips, version skew, structural inconsistency) is
-// invalidated and reported as a miss — never an error, never a wrong
-// result.
+// Lookup serves a warm result for key in a fresh fact store. ok is false
+// on a miss; any invalid on-disk state (truncation, bit flips, version
+// skew, a record filed under the wrong key) is invalidated and reported as
+// a miss — never an error, never a wrong result.
 func (c *Cache) Lookup(key Key) (*Hit, bool) {
 	if key.Zero() {
 		return nil, false
 	}
-	man, chunks, ok := c.load(key)
-	if !ok && c.loadRemote(key) {
-		// The owning peer had the records and they validated end to end;
-		// they are local objects now, so reload from disk.
-		man, chunks, ok = c.load(key)
+	hdr, store, ok := c.load(key)
+	if !ok {
+		hdr, store, ok = c.loadRemote(key)
 	}
 	if !ok {
-		c.mu.Lock()
-		c.countLocked(&c.stats.Misses, "factcache_misses_total")
-		c.mu.Unlock()
+		c.count(&c.stats.Misses, "factcache_misses_total")
 		return nil, false
 	}
-	store, err := stitch(man, chunks)
-	if err != nil {
-		c.invalidate(key, "stitch", "")
-		c.mu.Lock()
-		c.countLocked(&c.stats.Misses, "factcache_misses_total")
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.mu.Lock()
-	c.countLocked(&c.stats.Hits, "factcache_hits_total")
-	c.stats.Joins += int64(len(chunks))
-	if c.metrics != nil {
-		c.metrics.Counter("factcache_joins_total").Add(int64(len(chunks)))
-	}
-	c.mu.Unlock()
-	out := make([]byte, len(man.Output))
-	copy(out, man.Output)
+	c.count(&c.stats.Hits, "factcache_hits_total")
+	stats := hdr.Stats
+	stats.FlushReasons = maps.Clone(stats.FlushReasons)
 	return &Hit{
 		Store:       store,
-		Output:      out,
-		Stats:       man.Stats,
-		HandlersRan: man.HandlersRan,
-		Chunks:      len(chunks),
+		Output:      bytes.Clone(hdr.Output),
+		Stats:       stats,
+		HandlersRan: hdr.HandlersRan,
 	}, true
 }
 
-// load fetches the decoded manifest + chunks for key, from the memory LRU
-// or disk. Absence is a quiet miss; invalid state invalidates first.
-func (c *Cache) load(key Key) (*manifest, []*chunkPayload, bool) {
+// load fetches the record for key, from the memory LRU or disk, with a
+// store the caller owns. Absence is a quiet miss; invalid state
+// invalidates first.
+func (c *Cache) load(key Key) (*header, *facts.Store, bool) {
 	c.mu.Lock()
-	if e, ok := c.mem[key.id]; ok {
-		c.lru.MoveToFront(e.elem)
-		man, chunks := e.man, e.chunks
+	if el, ok := c.mem[key.id]; ok {
+		c.lru.MoveToFront(el)
+		e := el.Value.(*entry)
 		c.mu.Unlock()
-		return man, chunks, true
+		return &e.hdr, e.facts.Thaw(), true
 	}
 	c.mu.Unlock()
 
-	mid, err := c.db.Head(key.id)
+	payload, err := c.db.Get(key.id)
 	if err != nil {
 		if !IsNotExist(err) {
-			c.invalidate(key, reasonFor(err), "")
+			c.invalidate(key, reasonFor(err))
 		}
 		return nil, nil, false
 	}
-	mb, err := c.db.GetObject(mid, KindManifest)
+	hdr, store, err := decodeRecord(payload, key.id)
 	if err != nil {
-		c.invalidate(key, reasonFor(err), mid)
+		c.invalidate(key, reasonFor(err))
 		return nil, nil, false
 	}
-	man := &manifest{}
-	if err := json.Unmarshal(mb, man); err != nil || man.Schema != Schema {
-		c.invalidate(key, "schema", mid)
-		return nil, nil, false
-	}
-	if len(man.ChunkFns) != len(man.Chunks) || len(man.ChunkBodies) != len(man.Chunks) {
-		c.invalidate(key, "schema", mid)
-		return nil, nil, false
-	}
-	chunks := make([]*chunkPayload, len(man.Chunks))
-	for i, cid := range man.Chunks {
-		cb, err := c.db.GetObject(cid, KindChunk)
-		if err != nil {
-			c.invalidate(key, reasonFor(err), cid)
-			return nil, nil, false
-		}
-		ch := &chunkPayload{}
-		if err := json.Unmarshal(cb, ch); err != nil || ch.Schema != Schema {
-			c.invalidate(key, "schema", cid)
-			return nil, nil, false
-		}
-		chunks[i] = ch
-	}
-	c.remember(key, man, chunks)
-	return man, chunks, true
+	c.remember(&entry{key: key.id, hdr: *hdr, facts: store.Freeze()})
+	return hdr, store, true
 }
 
 // remember inserts a decoded entry into the memory LRU.
-func (c *Cache) remember(key Key, man *manifest, chunks []*chunkPayload) {
+func (c *Cache) remember(e *entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.mem[key.id]; ok {
-		e.man, e.chunks = man, chunks
-		c.lru.MoveToFront(e.elem)
+	if el, ok := c.mem[e.key]; ok {
+		el.Value = e
+		c.lru.MoveToFront(el)
 		return
 	}
-	e := &memEntry{key: key.id, man: man, chunks: chunks}
-	e.elem = c.lru.PushFront(e)
-	c.mem[key.id] = e
+	c.mem[e.key] = c.lru.PushFront(e)
 	for len(c.mem) > c.maxMem {
 		back := c.lru.Back()
-		be := back.Value.(*memEntry)
 		c.lru.Remove(back)
-		delete(c.mem, be.key)
+		delete(c.mem, back.Value.(*entry).key)
 	}
 	if c.metrics != nil {
 		c.metrics.Gauge("factcache_mem_entries").Set(float64(len(c.mem)))
@@ -383,123 +399,32 @@ func (c *Cache) remember(key Key, man *manifest, chunks []*chunkPayload) {
 
 // Store persists a COMPLETED run — the caller vouches that it ran to the
 // end (not partial, not degraded, no runtime eval) and that store/output/
-// stats are exactly what any fresh run with the same key produces.
-func (c *Cache) Store(key Key, mod *ir.Module, store *facts.Store, rec *Recorder, output []byte, stats core.Stats, handlersRan int) error {
+// stats are exactly what any fresh run with the same key produces. A run
+// whose output overflowed the capture is skipped as "output-cap".
+func (c *Cache) Store(key Key, store *facts.Store, output *Capture, stats core.Stats, handlersRan int) error {
 	if key.Zero() {
 		return nil
 	}
-	if len(output) > MaxOutputBytes {
+	if output.overflow {
 		c.Skip("output-cap")
 		return nil
 	}
-	chunks, order, err := splitChunks(mod, store, rec)
-	if err != nil {
-		c.Skip("unmapped")
-		return nil
+	hdr := header{
+		Key: key.id, Output: bytes.Clone(output.b),
+		Stats: stats, HandlersRan: handlersRan, MaxSeq: store.MaxSeq,
 	}
-	man := &manifest{
-		Schema:      Schema,
-		File:        mod.File,
-		SourceHash:  hashString(mod.Source),
-		Order:       order,
-		Output:      output,
-		Stats:       stats,
-		HandlersRan: handlersRan,
-		MaxSeq:      store.MaxSeq,
-	}
-	var written, deduped int64
-	for _, ch := range chunks {
-		cb, err := json.Marshal(ch)
-		if err != nil {
-			return fmt.Errorf("factcache: encode chunk: %w", err)
-		}
-		cid, created, err := c.db.PutObject(KindChunk, cb)
-		if err != nil {
-			return err
-		}
-		if created {
-			written++
-		} else {
-			deduped++
-		}
-		man.Chunks = append(man.Chunks, cid)
-		man.ChunkFns = append(man.ChunkFns, ch.Fn)
-		man.ChunkBodies = append(man.ChunkBodies, ch.BodyHash)
-	}
-	mb, err := json.Marshal(man)
-	if err != nil {
-		return fmt.Errorf("factcache: encode manifest: %w", err)
-	}
-	mid, _, err := c.db.PutObject(KindManifest, mb)
+	hdr.Stats.FlushReasons = maps.Clone(stats.FlushReasons)
+	payload, err := encodeRecord(&hdr, store)
 	if err != nil {
 		return err
 	}
-	if err := c.db.SetHead(key.id, mid); err != nil {
+	created, err := c.db.Put(key.id, payload)
+	if err != nil {
 		return err
 	}
-	if err := c.db.SetHead(key.head, mid); err != nil {
-		return err
+	c.remember(&entry{key: key.id, hdr: hdr, facts: store.Freeze()})
+	if created {
+		c.count(&c.stats.Stores, "factcache_stores_total")
 	}
-	c.remember(key, man, chunks)
-	c.mu.Lock()
-	c.countLocked(&c.stats.Stores, "factcache_stores_total")
-	c.stats.ChunksWritten += written
-	c.stats.ChunksDeduped += deduped
-	if c.metrics != nil {
-		c.metrics.Counter("factcache_chunks_written_total").Add(written)
-		c.metrics.Counter("factcache_chunks_deduped_total").Add(deduped)
-	}
-	c.mu.Unlock()
 	return nil
-}
-
-// Diff compares the current lowering's per-function body hashes against
-// the most recent cached manifest for the same (program, options) anchor —
-// the incremental-resubmission report: after an edit the full key misses,
-// but the anchor still says which functions actually changed and thus how
-// much of the re-analysis the chunk store will absorb. ok is false when no
-// previous manifest exists (first sight of this program).
-func (c *Cache) Diff(key Key, mod *ir.Module) (DiffReport, bool) {
-	if key.Zero() {
-		return DiffReport{}, false
-	}
-	mid, err := c.db.Head(key.head)
-	if err != nil {
-		if !IsNotExist(err) {
-			c.db.RemoveHead(key.head)
-		}
-		return DiffReport{}, false
-	}
-	mb, err := c.db.GetObject(mid, KindManifest)
-	if err != nil {
-		c.db.RemoveHead(key.head)
-		return DiffReport{}, false
-	}
-	man := &manifest{}
-	if err := json.Unmarshal(mb, man); err != nil || man.Schema != Schema {
-		c.db.RemoveHead(key.head)
-		return DiffReport{}, false
-	}
-	prev := make(map[string]bool, len(man.ChunkBodies))
-	for _, h := range man.ChunkBodies {
-		prev[h] = true
-	}
-	var rep DiffReport
-	for _, fn := range mod.Funcs {
-		rep.Total++
-		if prev[BodyHash(mod, fn)] {
-			rep.Unchanged++
-		} else {
-			rep.Changed++
-		}
-	}
-	c.mu.Lock()
-	c.stats.FnUnchanged += int64(rep.Unchanged)
-	c.stats.FnChanged += int64(rep.Changed)
-	if c.metrics != nil {
-		c.metrics.Counter("factcache_fn_unchanged_total").Add(int64(rep.Unchanged))
-		c.metrics.Counter("factcache_fn_changed_total").Add(int64(rep.Changed))
-	}
-	c.mu.Unlock()
-	return rep, true
 }

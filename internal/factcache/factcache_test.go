@@ -3,6 +3,7 @@ package factcache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,9 +13,10 @@ import (
 	"determinacy/internal/core"
 	"determinacy/internal/facts"
 	"determinacy/internal/ir"
+	"determinacy/internal/obs"
 )
 
-// testSrc exercises functions (chunk granularity), a loop (occurrence
+// testSrc exercises functions (calling contexts), a loop (occurrence
 // sequences), indeterminacy (Math.random) and a NaN value (the NumS wire
 // path).
 const testSrc = `
@@ -32,13 +34,12 @@ console.log(nan);
 type coldRun struct {
 	mod    *ir.Module
 	store  *facts.Store
-	rec    *Recorder
 	output []byte
 	stats  core.Stats
 }
 
-// runCold executes testSrc-style source under the instrumented semantics
-// with the entry recorder attached, as a caching layer would.
+// runCold executes testSrc-style source under the instrumented semantics,
+// as a caching layer would.
 func runCold(t *testing.T, src string, seed uint64) *coldRun {
 	t.Helper()
 	mod, err := ir.Compile("cache.js", src)
@@ -47,12 +48,11 @@ func runCold(t *testing.T, src string, seed uint64) *coldRun {
 	}
 	var out bytes.Buffer
 	store := facts.NewStore()
-	rec := NewRecorder()
-	a := core.New(mod, store, core.Options{Seed: seed, Out: &out, OnEnterFunc: rec.OnEnter})
+	a := core.New(mod, store, core.Options{Seed: seed, Out: &out})
 	if _, err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return &coldRun{mod: mod, store: store, rec: rec, output: out.Bytes(), stats: a.Stats()}
+	return &coldRun{mod: mod, store: store, output: out.Bytes(), stats: a.Stats()}
 }
 
 // renderStore flattens a store — recording order AND sorted order — so two
@@ -80,9 +80,15 @@ func mustOpen(t *testing.T, dir string) *Cache {
 
 func storeRun(t *testing.T, c *Cache, key Key, r *coldRun) {
 	t.Helper()
-	if err := c.Store(key, r.mod, r.store, r.rec, r.output, r.stats, 0); err != nil {
+	if err := c.Store(key, r.store, capture(r.output), r.stats, 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func capture(output []byte) *Capture {
+	w := &Capture{}
+	w.Write(output)
+	return w
 }
 
 func TestRoundTripByteIdentity(t *testing.T) {
@@ -104,7 +110,7 @@ func TestRoundTripByteIdentity(t *testing.T) {
 		t.Fatal("warm lookup missed")
 	}
 	if got, want := renderStore(hit.Store), renderStore(cold.store); got != want {
-		t.Fatalf("stitched store differs from cold store:\n--- warm\n%s\n--- cold\n%s", got, want)
+		t.Fatalf("replayed store differs from cold store:\n--- warm\n%s\n--- cold\n%s", got, want)
 	}
 	if !bytes.Equal(hit.Output, cold.output) {
 		t.Fatalf("output differs: %q vs %q", hit.Output, cold.output)
@@ -112,12 +118,30 @@ func TestRoundTripByteIdentity(t *testing.T) {
 	if got, want := fmt.Sprintf("%+v", hit.Stats), fmt.Sprintf("%+v", cold.stats); got != want {
 		t.Fatalf("stats differ:\n%s\nvs\n%s", got, want)
 	}
-	if hit.Chunks == 0 {
-		t.Fatal("hit stitched zero chunks")
+	if st := warm.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want exactly 1 hit", st)
 	}
-	st := warm.Stats()
-	if st.Hits != 1 || st.Joins != int64(hit.Chunks) {
-		t.Fatalf("stats = %+v, want 1 hit and %d joins", st, hit.Chunks)
+	// One cached run is one file on disk.
+	if files := dbFiles(t, dir); len(files) != 1 {
+		t.Fatalf("db holds %d files, want 1: %v", len(files), files)
+	}
+
+	// A memory hit hands out an independent store: mutating one hit must
+	// not leak into the next.
+	hit.Store.Merge(runCold(t, testSrc, 8).store)
+	if hit.Stats.FlushReasons == nil {
+		hit.Stats.FlushReasons = map[string]int{}
+	}
+	hit.Stats.FlushReasons["mutated"] = 1
+	again, ok := warm.Lookup(key)
+	if !ok {
+		t.Fatal("memory lookup missed")
+	}
+	if got, want := renderStore(again.Store), renderStore(cold.store); got != want {
+		t.Fatal("a caller's mutation of one hit leaked into the cached entry")
+	}
+	if _, leaked := again.Stats.FlushReasons["mutated"]; leaked {
+		t.Fatal("a caller's mutation of one hit's stats leaked into the cached entry")
 	}
 }
 
@@ -139,14 +163,9 @@ func TestKeySeparatesOptionsAndSource(t *testing.T) {
 	if a.ID() != b.ID() {
 		t.Error("input order changed the key")
 	}
-	// Same (file, options) with different sources share the diff anchor.
-	edited := KeyFor("cache.js", testSrc+"\n", Sig{Seed: 7})
-	if base.head != edited.head {
-		t.Error("source edit changed the diff anchor head")
-	}
 }
 
-// dbFiles lists every record file under the cache dir (objects and heads).
+// dbFiles lists every record file under the cache dir.
 func dbFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var files []string
@@ -168,12 +187,28 @@ func dbFiles(t *testing.T, dir string) []string {
 	return files
 }
 
+// otherKeyRecord returns the framed record a cold run of src stores under
+// a different key — a valid frame that belongs somewhere else.
+func otherKeyRecord(t *testing.T, cold *coldRun) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	other := KeyFor("cache.js", testSrc, Sig{Seed: 99})
+	storeRun(t, mustOpen(t, dir), other, cold)
+	files := dbFiles(t, dir)
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestCorruptionRecovery damages every DB file in several ways; each time,
 // a fresh cache must miss cleanly (no panic, no wrong facts), and one
 // re-store must fully repair the entry.
 func TestCorruptionRecovery(t *testing.T) {
 	cold := runCold(t, testSrc, 7)
 	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
+	foreign := otherKeyRecord(t, cold)
 
 	damage := map[string]func([]byte) []byte{
 		"truncate-header":  func(b []byte) []byte { return b[:headerSize/2] },
@@ -194,6 +229,9 @@ func TestCorruptionRecovery(t *testing.T) {
 			return nb
 		},
 		"empty": func([]byte) []byte { return nil },
+		// A record that validates end to end but was stored for another
+		// key: the embedded key id must reject it.
+		"other-key": func([]byte) []byte { return foreign },
 	}
 	for name, corrupt := range damage {
 		t.Run(name, func(t *testing.T) {
@@ -209,8 +247,7 @@ func TestCorruptionRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Fresh process: must fall back to a miss, possibly over a few
-			// lookups as broken records are cleared, and must never serve
+			// Fresh process: must fall back to a miss and must never serve
 			// damaged facts.
 			fresh := mustOpen(t, dir)
 			if hit, ok := fresh.Lookup(key); ok {
@@ -222,8 +259,7 @@ func TestCorruptionRecovery(t *testing.T) {
 			if fresh.Stats().Invalidations == 0 {
 				t.Fatal("no invalidation recorded for damaged db")
 			}
-			// One re-store repairs everything, even with damaged object
-			// files still sitting at their content addresses.
+			// One re-store repairs the record.
 			storeRun(t, fresh, key, cold)
 			again := mustOpen(t, dir)
 			hit, ok := again.Lookup(key)
@@ -237,130 +273,41 @@ func TestCorruptionRecovery(t *testing.T) {
 	}
 }
 
+// TestPartialObjectDamage flips one byte at a time — every header byte
+// plus positions across the payload — leaving the rest of the record
+// intact: every single-byte corruption must degrade to a clean miss.
 func TestPartialObjectDamage(t *testing.T) {
-	// Damage ONE object file at a time (leaving the rest intact): every
-	// single-file corruption must degrade to a clean miss.
 	cold := runCold(t, testSrc, 7)
 	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
-	storeRun(t, c, key, cold)
-	files := dbFiles(t, dir)
-	for i, path := range files {
-		orig, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	storeRun(t, mustOpen(t, dir), key, cold)
+	path := dbFiles(t, dir)[0]
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offsets []int
+	for i := 0; i < headerSize; i++ {
+		offsets = append(offsets, i)
+	}
+	for i := 1; i <= 8; i++ {
+		offsets = append(offsets, headerSize+(len(orig)-headerSize-1)*i/8)
+	}
+	for _, off := range offsets {
 		bad := append([]byte(nil), orig...)
-		bad[len(bad)/2] ^= 0x01
+		bad[off] ^= 0x01
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The invariant is "never wrong facts": a file off the lookup path
-		// (the diff-anchor head) may still hit, but then the result must be
-		// byte-identical to the cold run.
 		fresh := mustOpen(t, dir)
-		if hit, ok := fresh.Lookup(key); ok {
-			if got, want := renderStore(hit.Store), renderStore(cold.store); got != want {
-				t.Fatalf("file %d (%s): served wrong facts despite damage", i, filepath.Base(path))
-			}
+		if _, ok := fresh.Lookup(key); ok {
+			t.Fatalf("offset %d: lookup hit on a damaged record", off)
 		}
-		if err := os.WriteFile(path, orig, 0o644); err != nil {
-			t.Fatal(err)
+		if fresh.Stats().Invalidations != 1 {
+			t.Fatalf("offset %d: stats = %+v, want one invalidation", off, fresh.Stats())
 		}
-		// Heads removed during invalidation stay gone until a re-store;
-		// repair and continue.
+		// The invalidation removed the record; repair and continue.
 		storeRun(t, mustOpen(t, dir), key, cold)
-	}
-}
-
-func TestDiffAndChunkDedup(t *testing.T) {
-	// Editing the tail of the program must leave the functions' chunks
-	// reusable: Diff reports them unchanged and the second Store dedups
-	// their chunks. (Chunks carry absolute instruction IDs, so only code at
-	// or after the edit point re-encodes — an edit inside mul would shift
-	// the loop's call-site IDs and with them add's fact contexts.)
-	edited := strings.Replace(testSrc, "console.log(nan);", "console.log(nan + 0);", 1)
-	if edited == testSrc {
-		t.Fatal("edit did not apply")
-	}
-	coldA := runCold(t, testSrc, 7)
-	coldB := runCold(t, edited, 7)
-	keyA := KeyFor("cache.js", testSrc, Sig{Seed: 7})
-	keyB := KeyFor("cache.js", edited, Sig{Seed: 7})
-	if keyA.ID() == keyB.ID() {
-		t.Fatal("edit did not change the full key")
-	}
-
-	dir := t.TempDir()
-	c := mustOpen(t, dir)
-	if _, ok := c.Diff(keyA, coldA.mod); ok {
-		t.Fatal("diff found a manifest in an empty cache")
-	}
-	storeRun(t, c, keyA, coldA)
-
-	rep, ok := c.Diff(keyB, coldB.mod)
-	if !ok {
-		t.Fatal("diff found no previous manifest via the head anchor")
-	}
-	// add and mul are untouched; the top level changed.
-	if rep.Unchanged == 0 || rep.Changed == 0 {
-		t.Fatalf("diff = %+v, want both unchanged and changed functions", rep)
-	}
-	if rep.Total != len(coldB.mod.Funcs) {
-		t.Fatalf("diff total = %d, want %d", rep.Total, len(coldB.mod.Funcs))
-	}
-
-	storeRun(t, c, keyB, coldB)
-	st := c.Stats()
-	if st.ChunksDeduped == 0 {
-		t.Fatalf("stats = %+v: unchanged function produced no chunk dedup", st)
-	}
-	// Both versions stay independently servable.
-	for _, k := range []Key{keyA, keyB} {
-		if _, ok := mustOpen(t, dir).Lookup(k); !ok {
-			t.Fatalf("lookup missed for key %s", k.ID()[:8])
-		}
-	}
-}
-
-func TestEntrySignatureShapesChunkIdentity(t *testing.T) {
-	// Same body, different entry determinacy (argument fed by Math.random
-	// vs a constant) must produce different chunk objects.
-	detSrc := `function f(a) { return a + 1; } console.log(f(2));`
-	indetSrc := `function f(a) { return a + 1; } console.log(f(Math.random()));`
-	a := runCold(t, detSrc, 1)
-	b := runCold(t, indetSrc, 1)
-	chunksA, _, err := splitChunks(a.mod, a.store, a.rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunksB, _, err := splitChunks(b.mod, b.store, b.rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigOf := func(chunks []*chunkPayload, body string) (uint64, bool) {
-		for _, c := range chunks {
-			if strings.Contains(body, "f") && c.Fn != 0 {
-				return c.SigAnd, true
-			}
-		}
-		return 0, false
-	}
-	sa, oka := sigOf(chunksA, detSrc)
-	sb, okb := sigOf(chunksB, indetSrc)
-	if !oka || !okb {
-		t.Fatal("function chunk not found")
-	}
-	if sa == sb {
-		t.Fatalf("entry signatures identical (%#x) despite determinacy difference", sa)
-	}
-	// The determinate call must mark argument 0 determinate.
-	if sa&1 == 0 {
-		t.Fatalf("determinate argument not reflected in signature %#x", sa)
-	}
-	if sb&1 != 0 {
-		t.Fatalf("indeterminate argument marked determinate in signature %#x", sb)
 	}
 }
 
@@ -370,42 +317,56 @@ func TestDBFrameValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := hashString("record")
 	payload := []byte(`{"hello":"world"}`)
-	id, created, err := db.PutObject(KindChunk, payload)
-	if err != nil || !created {
+	if created, err := db.Put(id, payload); err != nil || !created {
 		t.Fatalf("put: created=%v err=%v", created, err)
 	}
-	if _, _, err := db.PutObject(KindChunk, payload); err != nil {
-		t.Fatal(err)
-	} else if _, created, _ := db.PutObject(KindChunk, payload); created {
-		t.Fatal("identical payload not deduplicated")
+	if created, err := db.Put(id, payload); err != nil || created {
+		t.Fatalf("identical payload rewritten: created=%v err=%v", created, err)
 	}
-	got, err := db.GetObject(id, KindChunk)
+	got, err := db.Get(id)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("get: %q, %v", got, err)
 	}
-	// Wrong kind reads as corrupt.
-	if _, err := db.GetObject(id, KindManifest); err == nil {
-		t.Fatal("kind mismatch not detected")
+	// A different payload under the same id is a rewrite, not a dedup.
+	if created, err := db.Put(id, []byte("other")); err != nil || !created {
+		t.Fatalf("changed payload not rewritten: created=%v err=%v", created, err)
 	}
-	// A record stored under the wrong address reads as corrupt even though
-	// its frame validates.
-	other := ObjectID([]byte("elsewhere"))
-	if err := atomicWrite(filepath.Join(dir, "objects", other[:2], other), frame(KindChunk, payload)); err != nil {
+	if _, err := db.Get(hashString("absent")); !IsNotExist(err) {
+		t.Fatalf("missing record: %v", err)
+	}
+	// Ids that are not hex digests never name a path.
+	for _, bad := range []string{"", "ab", "../../etc/passwd", strings.Repeat("zz", 32)} {
+		if _, err := db.Get(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("malformed id %q: %v", bad, err)
+		}
+		if _, err := db.Put(bad, payload); err == nil {
+			t.Errorf("put accepted malformed id %q", bad)
+		}
+	}
+
+	// A record whose frame validates but that was stored for another key
+	// reads as corrupt, and the cache falls back to re-analysis.
+	cold := runCold(t, testSrc, 7)
+	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
+	foreign, err := unframe(otherKeyRecord(t, cold))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GetObject(other, KindChunk); err == nil {
-		t.Fatal("address mismatch not detected")
-	}
-	// Heads.
-	if err := db.SetHead("k", id); err != nil {
+	if _, err := db.Put(key.ID(), foreign); err != nil {
 		t.Fatal(err)
 	}
-	if h, err := db.Head("k"); err != nil || h != id {
-		t.Fatalf("head: %q, %v", h, err)
+	m := obs.NewMetrics()
+	c := mustOpen(t, dir).WithMetrics(m)
+	if _, ok := c.Lookup(key); ok {
+		t.Fatal("a record filed under another key's path was served")
 	}
-	if _, err := db.Head("absent"); !IsNotExist(err) {
-		t.Fatalf("missing head: %v", err)
+	if n := m.Counter(`factcache_invalidations_total{reason="corrupt"}`).Value(); n != 1 {
+		t.Fatalf("corrupt invalidations = %d, want 1", n)
+	}
+	if _, err := db.Get(key.ID()); !IsNotExist(err) {
+		t.Fatalf("foreign record not removed: %v", err)
 	}
 }
 
@@ -413,8 +374,9 @@ func TestStoreSkipsOversizedOutput(t *testing.T) {
 	cold := runCold(t, testSrc, 7)
 	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
 	c := mustOpen(t, t.TempDir())
-	big := make([]byte, MaxOutputBytes+1)
-	if err := c.Store(key, cold.mod, cold.store, cold.rec, big, cold.stats, 0); err != nil {
+	big := capture(make([]byte, MaxOutputBytes))
+	big.Write([]byte("x"))
+	if err := c.Store(key, cold.store, big, cold.stats, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Lookup(key); ok {

@@ -1,28 +1,28 @@
 package factcache
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+
+	"determinacy/internal/facts"
 )
 
 // Remote is a remote fact-record source — the L3 tier behind the local
-// disk. On a local miss, Lookup consults it for the raw framed records of
-// a key (manifest frame followed by its chunk frames, exactly the bytes
-// ExportRecords serves on the owning node). Implementations return
-// ok=false for any miss or failure; they are expected to be fallible and
-// slow, never authoritative — every returned byte is re-validated here
-// (framing, CRC, content address, schema, manifest/chunk consistency)
-// before anything is imported, so a corrupt, truncated, bit-flipped, or
-// version-skewed remote payload is discarded (counted by reason in
-// factcache_remote_invalid_total) and the caller just analyzes locally.
+// disk. On a local miss, Lookup consults it for the raw framed record of
+// a key (exactly the bytes ExportRecords serves on the owning node).
+// Implementations return ok=false for any miss or failure; they are
+// expected to be fallible and slow, never authoritative — every returned
+// byte is re-validated here (framing, CRC, schema, the embedded key id)
+// before anything is imported, so a corrupt, truncated, bit-flipped,
+// version-skewed or foreign remote payload is discarded (counted by reason
+// in factcache_remote_invalid_total) and the caller just analyzes locally.
 //
 // internal/cluster's Router implements Remote structurally (owner lookup
 // on the ring + hedged HTTP fetch) and additionally collapses concurrent
 // fetches for one key into a single round trip, so this layer does not
 // singleflight again.
 type Remote interface {
-	// Fetch returns the framed records for keyID. routeKey is the bare
+	// Fetch returns the framed record for keyID. routeKey is the bare
 	// source hash the cluster shards analysis on — the implementation
 	// routes the lookup with it (the node that analyzed a program, hence
 	// holds its facts, is the owner of its source hash, not of the
@@ -39,143 +39,62 @@ func (c *Cache) WithRemote(r Remote) *Cache {
 	return c
 }
 
-// ExportRecords serves this cache's records for a full key id as one raw
-// framed stream: the manifest frame then each chunk frame, bytes exactly
-// as stored on disk (no re-framing — local damage travels as-is and fails
-// the importer's validation, which is the property the chaos campaign
-// leans on). ok is false when the key has no valid local entry.
+// ExportRecords serves this cache's record for a full key id as one raw
+// frame, bytes exactly as stored on disk (no re-framing — damage that
+// slips past this check travels as-is and fails the importer's
+// validation, which is the property the chaos campaign leans on). ok is
+// false when the key has no valid local record.
 func (c *Cache) ExportRecords(keyID string) ([]byte, bool) {
-	if keyID == "" {
-		return nil, false
-	}
-	mid, err := c.db.Head(keyID)
+	raw, err := c.db.Raw(keyID)
 	if err != nil {
 		return nil, false
 	}
-	// Parse the manifest (validated) to learn the chunk list, but serve
-	// the raw frames.
-	mb, err := c.db.GetObject(mid, KindManifest)
+	payload, err := unframe(raw)
 	if err != nil {
 		return nil, false
 	}
-	man := &manifest{}
-	if err := json.Unmarshal(mb, man); err != nil || man.Schema != Schema {
+	if _, _, err := decodeRecord(payload, keyID); err != nil {
 		return nil, false
 	}
-	raw, err := c.db.RawObject(mid)
-	if err != nil {
-		return nil, false
-	}
-	stream := append([]byte(nil), raw...)
-	for _, cid := range man.Chunks {
-		cb, err := c.db.RawObject(cid)
-		if err != nil {
-			return nil, false
-		}
-		stream = append(stream, cb...)
-	}
-	return stream, true
+	return raw, true
 }
 
-// countRemoteInvalid publishes one discarded remote payload by reason
-// ("corrupt", "version", "schema", "mismatch", "empty").
-func (c *Cache) countRemoteInvalid(reason string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.countLocked(&c.stats.RemoteInvalid, fmt.Sprintf("factcache_remote_invalid_total{reason=%q}", reason))
-}
-
-// remoteReason classifies an unframe error.
-func remoteReason(err error) string {
-	if errors.Is(err, ErrVersion) {
-		return "version"
-	}
-	return "corrupt"
-}
-
-// loadRemote consults the remote tier for key and, when the returned
-// stream validates end to end, imports it into the local DB (PutObject
-// re-frames and content-addresses each record; SetHead anchors both the
-// full key and the diff head). Returns true when the import succeeded and
-// a local reload will now hit.
-func (c *Cache) loadRemote(key Key) bool {
+// loadRemote consults the remote tier for key and, when the returned frame
+// validates end to end, imports it into the local DB (Put re-frames it,
+// which also self-repairs local damage that caused the miss) and the
+// memory LRU.
+func (c *Cache) loadRemote(key Key) (*header, *facts.Store, bool) {
 	c.mu.Lock()
 	remote := c.remote
 	c.mu.Unlock()
 	if remote == nil {
-		return false
+		return nil, nil, false
 	}
 	data, ok := remote.Fetch(key.id, key.route)
 	if !ok {
-		return false
+		return nil, nil, false
+	}
+	reject := func(reason string) (*header, *facts.Store, bool) {
+		c.count(&c.stats.RemoteInvalid, fmt.Sprintf("factcache_remote_invalid_total{reason=%q}", reason))
+		return nil, nil, false
 	}
 	if len(data) == 0 {
-		c.countRemoteInvalid("empty")
-		return false
+		return reject("empty")
 	}
-	frames, err := SplitFrames(data)
-	if err != nil || len(frames) == 0 {
-		c.countRemoteInvalid("corrupt")
-		return false
-	}
-
-	// Frame 0 is the manifest; validate framing, content address, schema,
-	// and internal consistency before trusting its chunk list.
-	mp, err := unframe(frames[0], KindManifest)
+	payload, err := unframe(data)
 	if err != nil {
-		c.countRemoteInvalid(remoteReason(err))
-		return false
+		return reject(reasonFor(err))
 	}
-	mid := ObjectID(mp)
-	man := &manifest{}
-	if err := json.Unmarshal(mp, man); err != nil || man.Schema != Schema {
-		c.countRemoteInvalid("schema")
-		return false
+	hdr, store, err := decodeRecord(payload, key.id)
+	if errors.Is(err, errMismatch) {
+		return reject("mismatch")
+	} else if err != nil {
+		return reject(reasonFor(err))
 	}
-	if len(man.ChunkFns) != len(man.Chunks) || len(man.ChunkBodies) != len(man.Chunks) {
-		c.countRemoteInvalid("schema")
-		return false
+	if _, err := c.db.Put(key.id, payload); err != nil {
+		return nil, nil, false
 	}
-	if len(frames)-1 != len(man.Chunks) {
-		c.countRemoteInvalid("mismatch")
-		return false
-	}
-	chunkPayloads := make([][]byte, len(man.Chunks))
-	for i, cid := range man.Chunks {
-		cp, err := unframe(frames[i+1], KindChunk)
-		if err != nil {
-			c.countRemoteInvalid(remoteReason(err))
-			return false
-		}
-		// The chunk must be the exact object the manifest names — a frame
-		// that validates but sits in the wrong position (or a peer
-		// answering records for a different program) is discarded whole.
-		if ObjectID(cp) != cid {
-			c.countRemoteInvalid("mismatch")
-			return false
-		}
-		chunkPayloads[i] = cp
-	}
-
-	// The stream is sound; import it. PutObject re-validates any existing
-	// object under the same address, so this also self-repairs local
-	// damage that caused the miss.
-	for _, cp := range chunkPayloads {
-		if _, _, err := c.db.PutObject(KindChunk, cp); err != nil {
-			return false
-		}
-	}
-	if _, _, err := c.db.PutObject(KindManifest, mp); err != nil {
-		return false
-	}
-	if err := c.db.SetHead(key.id, mid); err != nil {
-		return false
-	}
-	if err := c.db.SetHead(key.head, mid); err != nil {
-		return false
-	}
-	c.mu.Lock()
-	c.countLocked(&c.stats.RemoteHits, "factcache_remote_hits_total")
-	c.mu.Unlock()
-	return true
+	c.remember(&entry{key: key.id, hdr: *hdr, facts: store.Freeze()})
+	c.count(&c.stats.RemoteHits, "factcache_remote_hits_total")
+	return hdr, store, true
 }

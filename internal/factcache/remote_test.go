@@ -2,8 +2,11 @@ package factcache
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"testing"
+
+	"determinacy/internal/obs"
 )
 
 // loopbackRemote serves another cache's records, optionally mangled — the
@@ -30,9 +33,9 @@ func (r *loopbackRemote) Fetch(keyID, routeKey string) ([]byte, bool) {
 }
 
 // TestRemoteWarmByteIdentity pins the L3 path: a cache with an empty
-// local DB but a remote peer serves a warm hit whose stitched store,
+// local DB but a remote peer serves a warm hit whose replayed store,
 // output, and stats are byte-identical to the peer's cold run — and the
-// records are imported, so the next lookup hits locally without another
+// record is imported, so the next lookup hits locally without another
 // fetch.
 func TestRemoteWarmByteIdentity(t *testing.T) {
 	cold := runCold(t, testSrc, 7)
@@ -84,63 +87,50 @@ func TestRemoteInvalidPayloadsDiscarded(t *testing.T) {
 	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
 	peer := mustOpen(t, t.TempDir())
 	storeRun(t, peer, key, cold)
+	foreign := otherKeyRecord(t, cold)
 
 	cases := []struct {
-		name   string
-		mangle func([]byte) []byte
+		name, reason string
+		mangle       func([]byte) []byte
 	}{
-		{"empty", func(b []byte) []byte { return nil }},
-		{"garbage", func(b []byte) []byte { return []byte("HTTP error page, definitely not records") }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"manifest-bitflip", func(b []byte) []byte {
+		{"empty", "empty", func(b []byte) []byte { return nil }},
+		{"garbage", "corrupt", func(b []byte) []byte { return []byte("HTTP error page, definitely not records") }},
+		{"truncated", "corrupt", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"header-bitflip", "corrupt", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
-			c[headerSize+4] ^= 0x40 // inside the manifest payload
+			c[headerSize+4] ^= 0x40 // inside the record's JSON header
 			return c
 		}},
-		{"chunk-bitflip", func(b []byte) []byte {
+		{"facts-bitflip", "corrupt", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
-			c[len(c)-3] ^= 0x01 // inside the last chunk payload
+			c[len(c)-3] ^= 0x01 // inside the last fact
 			return c
 		}},
-		{"version-skew", func(b []byte) []byte {
+		{"version-skew", "version", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
-			c[4] = 0x7f // future format version in the manifest header
+			c[4] = 0x7f // future format version
 			return c
 		}},
-		{"missing-chunks", func(b []byte) []byte {
-			frames, err := SplitFrames(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return append([]byte(nil), frames[0]...) // manifest only
+		{"undecodable", "schema", func(b []byte) []byte {
+			p := []byte("{not a record header}\n")
+			return append(frameHeader(p), p...)
 		}},
-		{"reordered", func(b []byte) []byte {
-			frames, err := SplitFrames(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(frames) < 3 {
-				t.Fatalf("test needs ≥2 chunks, got %d frames", len(frames))
-			}
-			var out []byte
-			out = append(out, frames[0]...)
-			out = append(out, frames[2]...) // swap the first two chunks
-			out = append(out, frames[1]...)
-			for _, f := range frames[3:] {
-				out = append(out, f...)
-			}
-			return out
-		}},
+		{"other-key", "mismatch", func(b []byte) []byte { return foreign }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := mustOpen(t, t.TempDir()).WithRemote(&loopbackRemote{src: peer, mangle: tc.mangle})
+			m := obs.NewMetrics()
+			c := mustOpen(t, t.TempDir()).WithMetrics(m).WithRemote(&loopbackRemote{src: peer, mangle: tc.mangle})
 			if _, ok := c.Lookup(key); ok {
 				t.Fatal("mangled remote payload must not produce a hit")
 			}
 			st := c.Stats()
 			if st.RemoteInvalid != 1 {
 				t.Fatalf("RemoteInvalid = %d, want 1 (stats: %+v)", st.RemoteInvalid, st)
+			}
+			series := fmt.Sprintf("factcache_remote_invalid_total{reason=%q}", tc.reason)
+			if n := m.Counter(series).Value(); n != 1 {
+				t.Fatalf("%s = %d, want 1", series, n)
 			}
 			if st.RemoteHits != 0 || st.Misses != 1 {
 				t.Fatalf("mangled payload must count a miss, no remote hit: %+v", st)
@@ -186,9 +176,24 @@ func TestExportRecordsRefusesInvalid(t *testing.T) {
 	if _, ok := c.ExportRecords(fmt.Sprintf("%064x", 0)); ok {
 		t.Fatal("export of an absent key succeeded")
 	}
-	// Break the head: export must refuse.
-	c.db.RemoveHead(key.ID())
+	// A damaged record, or a valid one filed under the wrong key: export
+	// must refuse both.
+	raw, err := c.db.Raw(key.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _ := c.db.path(key.ID())
+	raw[len(raw)-3] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := c.ExportRecords(key.ID()); ok {
-		t.Fatal("export served a key with no head")
+		t.Fatal("export served a damaged record")
+	}
+	if err := os.WriteFile(path, otherKeyRecord(t, cold), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.ExportRecords(key.ID()); ok {
+		t.Fatal("export served another key's record")
 	}
 }

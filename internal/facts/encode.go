@@ -91,17 +91,26 @@ func (s *Store) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a store previously written by Encode. Decoded facts merge
-// with any facts already present, with the usual join semantics.
+// Decode reads a store previously written by Encode.
 func Decode(r io.Reader) (*Store, error) {
 	s := NewStore()
+	if err := s.Load(r); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Load replays facts written by Encode into s through Record, in their
+// recording order; they join with any facts already present, with the
+// usual join semantics.
+func (s *Store) Load(r io.Reader) error {
 	dec := json.NewDecoder(r)
 	for {
 		var wf wireFact
 		if err := dec.Decode(&wf); err == io.EOF {
-			return s, nil
+			return nil
 		} else if err != nil {
-			return nil, fmt.Errorf("facts: decode: %w", err)
+			return fmt.Errorf("facts: decode: %w", err)
 		}
 		var ctx Context
 		for _, e := range wf.Ctx {
@@ -119,6 +128,67 @@ func Decode(r io.Reader) (*Store, error) {
 				f.Hits = wf.Hits
 			}
 		}
+	}
+}
+
+// Frozen is a compact, read-only copy of a store: its facts in recording
+// order without the lookup index. A cache that hands out the same facts
+// many times keeps them frozen and thaws a fresh Store per use, which is a
+// copy rather than a replay through Record.
+type Frozen struct {
+	keys      []string
+	facts     []Fact
+	conflicts []string
+	maxSeq    int
+}
+
+// Freeze copies the store into a Frozen; later changes to either side do
+// not show in the other.
+func (s *Store) Freeze() *Frozen {
+	fz := &Frozen{
+		keys:      append([]string(nil), s.order...),
+		facts:     make([]Fact, len(s.order)),
+		conflicts: append([]string(nil), s.Conflicts...),
+		maxSeq:    s.MaxSeq,
+	}
+	for i, k := range s.order {
+		fz.facts[i] = *s.m[k]
+	}
+	cloneContexts(fz.facts)
+	return fz
+}
+
+// Thaw returns a new Store with the frozen facts, recording order, join
+// states and hit counts. The caller owns it.
+func (fz *Frozen) Thaw() *Store {
+	s := &Store{
+		m:         make(map[string]*Fact, len(fz.keys)),
+		order:     append([]string(nil), fz.keys...),
+		Conflicts: append([]string(nil), fz.conflicts...),
+		MaxSeq:    fz.maxSeq,
+		arena:     append([]Fact(nil), fz.facts...),
+	}
+	cloneContexts(s.arena)
+	for i, k := range fz.keys {
+		s.m[k] = &s.arena[i]
+	}
+	return s
+}
+
+// cloneContexts gives fs private copies of their contexts. Consecutive
+// facts that shared a context (a frame records all its facts under one)
+// keep sharing one copy.
+func cloneContexts(fs []Fact) {
+	var src, dst Context
+	for i := range fs {
+		c := fs[i].Ctx
+		if len(c) == 0 {
+			continue
+		}
+		if len(src) != len(c) || &src[0] != &c[0] {
+			src, dst = c, c.Clone()
+		}
+		fs[i].Ctx = dst
 	}
 }
 

@@ -150,3 +150,47 @@ func TestEncodeNonFiniteNumbers(t *testing.T) {
 	check(3, func(n float64) bool { return math.IsInf(n, -1) }, "-Inf")
 	check(4, func(n float64) bool { return n == 0 && math.Signbit(n) }, "-0")
 }
+
+// TestFreezeThawIsIndependentAndIdentical pins Freeze/Thaw: a thawed
+// store encodes byte-identically to the frozen one (recording order, join
+// states, hit counts), and recording into either store — or rewriting a
+// thawed context in place — leaves the frozen copy and the original
+// untouched.
+func TestFreezeThawIsIndependentAndIdentical(t *testing.T) {
+	s := facts.NewStore()
+	c := ctx(10, 0, 20, 1)
+	s.Record(1, c, 0, true, num(1))
+	s.Record(2, c, 0, true, num(2))
+	s.Record(2, c, 0, true, num(3)) // joins to indeterminate, hits 2
+	s.Record(3, nil, 4, true, str("x"))
+	s.Record(1, ctx(5, 2), 0, false, num(7))
+
+	encode := func(st *facts.Store) string {
+		var buf bytes.Buffer
+		if err := st.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := encode(s)
+	fz := s.Freeze()
+	cl := fz.Thaw()
+	if got := encode(cl); got != want {
+		t.Fatalf("thawed store encodes differently:\n%s\nvs\n%s", got, want)
+	}
+
+	cl.Record(1, c, 0, false, num(1))
+	cl.Record(9, nil, 0, true, num(9))
+	cl.All()[0].Ctx[0].Seq = 99
+	if got := encode(s); got != want {
+		t.Fatalf("mutating the thawed store changed the original:\n%s\nvs\n%s", got, want)
+	}
+	if got := encode(fz.Thaw()); got != want {
+		t.Fatalf("mutating the thawed store changed the frozen copy:\n%s\nvs\n%s", got, want)
+	}
+	s.Record(3, nil, 4, true, str("y"))
+	s.All()[0].Ctx[0].Seq = 42
+	if got := encode(fz.Thaw()); got != want {
+		t.Fatalf("mutating the original changed the frozen copy:\n%s\nvs\n%s", got, want)
+	}
+}

@@ -139,11 +139,11 @@ func (dw *digestWriter) finish() {
 	_, _ = dw.inner.Write(dw.buf.Bytes())
 }
 
-// handleClusterCache serves this node's fact records for a key to peers:
-// the raw framed stream ExportRecords produces (manifest + chunks, CRC
-// per frame), or 404 when the key is absent, invalid locally, or no fact
-// cache is configured. Peers validate every frame on import, so this
-// endpoint never needs to vouch for the bytes.
+// handleClusterCache serves this node's fact record for a key to peers:
+// the raw CRC-framed record ExportRecords produces, or 404 when the key is
+// absent, invalid locally, or no fact cache is configured. Peers validate
+// the frame on import, so this endpoint never needs to vouch for the
+// bytes.
 func (s *Server) handleClusterCache(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if s.cfg.FactCache == nil || key == "" {

@@ -367,8 +367,11 @@ func TestOverloadChaosCampaign(t *testing.T) {
 			}
 
 			// Recovery: the fault fired and is inert; the server must hold
-			// zero slots and serve cleanly.
+			// zero slots and serve cleanly. A client can read its response
+			// before the handler's deferred release runs, so wait for every
+			// admitted handler to return before reading the gauge.
 			faultinject.Disarm()
+			s.wg.Wait()
 			if v := s.metrics.Gauge("server_inflight").Value(); v != 0 {
 				t.Fatalf("server_inflight = %v after round drained, want 0 (slot leak)", v)
 			}
