@@ -960,6 +960,15 @@ func (a *Analysis) hasOwnConcrete(o *DObj, name string) (bool, bool) {
 // then merged into the enclosing branch frame, since nested branches
 // contribute to the outer branch's write domains.
 func (a *Analysis) markIndeterminate(bf *branchFrame) {
+	a.markJournal(bf)
+	a.mergeUp(bf)
+}
+
+// markJournal marks every location in bf's journal indeterminate (see
+// markIndeterminate). Marking a record again, with nothing executed in
+// between, changes nothing a reader can see: at most it adds maybeAbsent
+// to a phantom cell, which already reads as possibly absent.
+func (a *Analysis) markJournal(bf *branchFrame) {
 	if a.tracer != nil && len(bf.journal) > 0 {
 		a.tracer.Event(obs.Event{Kind: obs.EvTaint, Phase: "post-branch-mark", N1: int64(len(bf.journal))})
 	}
@@ -991,7 +1000,6 @@ func (a *Analysis) markIndeterminate(bf *branchFrame) {
 			// The record really became open; nothing to mark.
 		}
 	}
-	a.mergeUp(bf)
 }
 
 // undoAndMark implements rule CNTR's post-processing: every write performed
@@ -1082,34 +1090,43 @@ func (a *Analysis) undoOnly(bf *branchFrame) {
 	a.mergeUp(bf)
 }
 
-// mergeUp folds a popped frame's journal into the enclosing frame, since
-// nested branches contribute to the outer branch's write domains. Only the
-// first record per location survives the merge: it carries the oldest
-// pre-write state, which is all that undo and marking need (marking acts on
-// the location's current value, undo restores the oldest). Wholesale
-// concatenation made the journal grow with the number of writes rather than
-// the number of locations, and a budget-aborted indeterminate while loop —
-// which pops one nested frame per iteration, each merge feeding the next
-// frame's marking pass — turned that into a quadratic cascade, hanging the
-// analysis long after ErrBudget fired. (Found by detfuzz.)
-func (a *Analysis) mergeUp(bf *branchFrame) {
+// mergeUp folds the journals of popped frames, in the order given, into
+// the enclosing frame, since nested branches contribute to the outer
+// branch's write domains. Only the first record per location survives the
+// merge: it carries the oldest pre-write state, which is all that undo and
+// marking need (marking acts on the location's current value, undo
+// restores the oldest), and the journal stays as long as the number of
+// locations written rather than the number of writes. (Found by detfuzz.)
+//
+// An indeterminate while loop pops one nested frame per iteration at once
+// (execWhile's finish) and passes all of them, outermost first, to a single
+// merge. Merging each into the next outer frame would re-copy, and have
+// that frame re-mark, the whole accumulated journal at every level: a
+// cascade quadratic in the iterations.
+func (a *Analysis) mergeUp(frames ...*branchFrame) {
 	if len(a.branches) == 0 {
 		return
 	}
 	parent := a.branches[len(a.branches)-1]
 	if parent.seen == nil {
-		parent.seen = make(map[locKey]bool, len(parent.journal)+len(bf.journal))
+		n := len(parent.journal)
+		for _, bf := range frames {
+			n += len(bf.journal)
+		}
+		parent.seen = make(map[locKey]bool, n)
 		for i := range parent.journal {
 			parent.seen[parent.journal[i].loc()] = true
 		}
 	}
-	for i := range bf.journal {
-		k := bf.journal[i].loc()
-		if parent.seen[k] {
-			continue
+	for _, bf := range frames {
+		for i := range bf.journal {
+			k := bf.journal[i].loc()
+			if parent.seen[k] {
+				continue
+			}
+			parent.seen[k] = true
+			parent.journal = append(parent.journal, bf.journal[i])
 		}
-		parent.seen[k] = true
-		parent.journal = append(parent.journal, bf.journal[i])
 	}
 }
 

@@ -654,16 +654,24 @@ func (a *Analysis) counterfactual(f *DFrame, b *ir.Block) {
 // followed (recursively, up to the cut-off) by the rest of the loop.
 func (a *Analysis) execWhile(f *DFrame, in *ir.While) outcome {
 	var pushed []*branchFrame
-	// finish pops every ÎF1 frame opened for indeterminate-true iterations.
+	// finish pops every ÎF1 frame opened for indeterminate-true iterations,
+	// innermost first. Each frame marks only its own records: nothing
+	// executes between the pops, so marking inner frames' records again in
+	// every outer frame (see markJournal) would only repeat work. One merge
+	// then hands all the frames' records, outermost first, to the enclosing
+	// frame.
 	finish := func(out outcome) outcome {
 		escaped := out.kind != oNormal && out.kind != oBreak
 		for i := len(pushed) - 1; i >= 0; i-- {
 			a.popBranch(pushed[i])
-			a.markIndeterminate(pushed[i])
+			a.markJournal(pushed[i])
 			a.applyLoopTaints(pushed[i])
-			a.releaseBranch(pushed[i])
 		}
 		if len(pushed) > 0 {
+			a.mergeUp(pushed...)
+			for _, bf := range pushed {
+				a.releaseBranch(bf)
+			}
 			if out.kind == oBreak {
 				// The loop exit is itself control-dependent on an
 				// indeterminate condition: other executions may iterate

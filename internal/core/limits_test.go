@@ -2,6 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +91,43 @@ func TestIndetLoopBudgetTerminatesPromptly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second*raceTimeMul {
 		t.Fatalf("budget-aborted loop took %v to unwind", elapsed)
+	}
+}
+
+// TestIndetLoopUnwindLinear checks that ending an indeterminate loop
+// allocates memory linear in its iterations. Each iteration runs under its own ÎF1
+// frame and writes a fresh property, so the frames' journals hold one new
+// location per iteration; marking and merging them one level at a time
+// copied the accumulated journal at every level, and allocation grew with
+// the square of the iteration count.
+func TestIndetLoopUnwindLinear(t *testing.T) {
+	allocs := func(n int) uint64 {
+		mod := ir.MustCompile("t.js", fmt.Sprintf(`
+			var i = 0;
+			var o = {};
+			while (i < %d && Math.random() < 2) {
+				o["p" + i] = i;
+				i = i + 1;
+			}
+		`, n))
+		best := uint64(math.MaxUint64)
+		for rep := 0; rep < 3; rep++ {
+			a := core.New(mod, facts.NewStore(), core.Options{MaxSteps: 1 << 30, MaxFlushes: 1 << 20})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const k = 1000
+	small, large := allocs(k), allocs(2*k)
+	if large >= 3*small {
+		t.Errorf("%d iterations allocated %d bytes, %d iterations %d bytes (%.1f×): unwinding is not linear",
+			k, small, 2*k, large, float64(large)/float64(small))
 	}
 }
 

@@ -48,7 +48,10 @@ const (
 	EvCFExit
 	// EvTaint reports indeterminacy spreading to a set of locations; Phase
 	// is the mechanism (post-branch-mark, cf-undo-mark, static-writes,
-	// open-record), N1 the number of affected locations.
+	// open-record), N1 the number of affected locations. post-branch-mark
+	// comes once per popped frame that marks anything, with N1 the journal
+	// records that frame marks: when an indeterminate loop ends, each of its
+	// iteration frames marks only its own records.
 	EvTaint
 	// EvFactRecord is one fact observation; N1 is the instruction ID, N2
 	// is 1 when the observation is determinate and 0 otherwise.

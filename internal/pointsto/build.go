@@ -210,10 +210,7 @@ func (c *loadC) ckey() constrKey {
 
 func (c *loadC) apply(a *analysis, o ObjID) {
 	if c.wild {
-		for _, fnode := range a.fieldsOf[o] {
-			a.addCopy(fnode, c.dst)
-		}
-		a.wildLoads[o] = append(a.wildLoads[o], c.dst)
+		a.addCopy(a.summaryNode(o), c.dst)
 	} else {
 		a.addCopy(a.fieldNode(o, c.field), c.dst)
 	}

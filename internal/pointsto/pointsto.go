@@ -19,9 +19,11 @@
 package pointsto
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"determinacy/internal/guard"
@@ -97,7 +99,8 @@ const interruptEvery = 2048
 
 // Result carries the analysis outputs.
 type Result struct {
-	// Callees maps call-site instruction IDs to possible callees.
+	// Callees maps call-site instruction IDs to possible callees, sorted by
+	// ObjID.
 	Callees map[ir.ID][]*Object
 	// BudgetExceeded reports that solving stopped early (the "✗" rows of
 	// Table 1).
@@ -110,13 +113,15 @@ type Result struct {
 	Interrupted error
 	// Propagations counts points-to propagation events (the work metric).
 	Propagations int
-	// NumObjects and NumNodes describe problem size.
+	// NumObjects and NumNodes describe problem size. NumNodes leaves out
+	// the solver's summary nodes, which are not part of the constraint
+	// system (see summaryNode).
 	NumObjects int
 	NumNodes   int
 	// ReachableFuncs counts user functions that became reachable.
 	ReachableFuncs int
-	// EvalSites lists call sites whose only resolved callee is the eval
-	// native: code the static analysis cannot see.
+	// EvalSites lists, in site order, call sites whose only resolved callee
+	// is the eval native: code the static analysis cannot see.
 	EvalSites []ir.ID
 	// WorklistHWM is the worklist's high-water mark, a measure of how
 	// bursty propagation was (sharding/batching candidates watch this).
@@ -191,6 +196,8 @@ type node struct {
 	constraints []constraint
 	constrKeys  map[constrKey]bool
 	inWorklist  bool
+	// summary marks an object's summary node (see summaryNode).
+	summary bool
 }
 
 // constrKey identifies a deduplicatable constraint as a comparable value,
@@ -225,10 +232,11 @@ type analysis struct {
 	wildNodes  map[ObjID]int
 	retNodes   map[int]int // function index -> return node
 
-	// fieldsOf tracks the named fields materialized per object, and
-	// wildcard-load subscribers to notify when new fields appear.
-	fieldsOf  map[ObjID]map[string]int
-	wildLoads map[ObjID][]int
+	// fieldsOf lists the named field nodes materialized per object in
+	// creation order; summaryOf holds each object's summary node once a
+	// wildcard load has reached the object.
+	fieldsOf  map[ObjID][]int
+	summaryOf map[ObjID]int
 
 	// processed marks functions whose bodies have been translated to
 	// constraints (reachability).
@@ -305,8 +313,8 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 		protoNodes: map[ObjID]int{},
 		wildNodes:  map[ObjID]int{},
 		retNodes:   map[int]int{},
-		fieldsOf:   map[ObjID]map[string]int{},
-		wildLoads:  map[ObjID][]int{},
+		fieldsOf:   map[ObjID][]int{},
+		summaryOf:  map[ObjID]int{},
 		processed:  map[int]bool{},
 		regStr:     map[regKey]*string{},
 		funcObjOf:  map[ir.ID]ObjID{},
@@ -329,7 +337,7 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 		Interrupted:    a.interrupted,
 		Propagations:   a.work,
 		NumObjects:     len(a.objs),
-		NumNodes:       len(a.nodes),
+		NumNodes:       a.numNodes(),
 		WorklistHWM:    a.worklistHWM,
 		Duration:       time.Since(start),
 		an:             a,
@@ -347,10 +355,12 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 				onlyEval = false
 			}
 		}
+		slices.SortFunc(res.Callees[site], func(x, y *Object) int { return cmp.Compare(x.ID, y.ID) })
 		if onlyEval {
 			res.EvalSites = append(res.EvalSites, site)
 		}
 	}
+	slices.Sort(res.EvalSites)
 	return res
 }
 
@@ -367,6 +377,9 @@ func (a *analysis) newNode() int {
 	a.nodes = append(a.nodes, &node{})
 	return len(a.nodes) - 1
 }
+
+// numNodes counts the nodes of the constraint system, summary nodes aside.
+func (a *analysis) numNodes() int { return len(a.nodes) - len(a.summaryOf) }
 
 func (a *analysis) varNode(fn *ir.Function, slot int) int {
 	k := varKey{fn.Index, slot}
@@ -388,25 +401,39 @@ func (a *analysis) regNode(fn *ir.Function, reg ir.Reg) int {
 	return n
 }
 
-// fieldNode returns the node for a named field of an object, notifying
-// wildcard-load subscribers when the field is new.
+// fieldNode returns the node for a named field of an object, feeding a new
+// field into the object's summary node when it has one.
 func (a *analysis) fieldNode(obj ObjID, field string) int {
 	k := fieldKey{obj, field}
 	n, ok := a.fieldNodes[k]
 	if !ok {
 		n = a.newNode()
 		a.fieldNodes[k] = n
-		fm := a.fieldsOf[obj]
-		if fm == nil {
-			fm = map[string]int{}
-			a.fieldsOf[obj] = fm
-		}
-		fm[field] = n
-		for _, dst := range a.wildLoads[obj] {
-			a.addCopy(n, dst)
+		a.fieldsOf[obj] = append(a.fieldsOf[obj], n)
+		if s, ok := a.summaryOf[obj]; ok {
+			a.addCopy(n, s)
 		}
 	}
 	return n
+}
+
+// summaryNode returns the node holding the union of an object's named
+// fields, the source of every wildcard load from it: F fields and L loads
+// cost F+L copy edges instead of F×L. It is created the first time a
+// wildcard load reaches the object. A summary node only forwards what
+// arrives (see addObj), so its pairs are never counted as work and the
+// propagation count stays that of the plain constraint system.
+func (a *analysis) summaryNode(obj ObjID) int {
+	s, ok := a.summaryOf[obj]
+	if !ok {
+		s = a.newNode()
+		a.nodes[s].summary = true
+		a.summaryOf[obj] = s
+		for _, f := range a.fieldsOf[obj] {
+			a.addCopy(f, s)
+		}
+	}
+	return s
 }
 
 // wildNode is the store target for property writes with unknown names.
@@ -449,10 +476,20 @@ func (a *analysis) objsOf(n int) []*Object {
 
 func (a *analysis) addObj(n int, o ObjID) {
 	nd := a.nodes[n]
-	if nd.pts.add(o) {
-		nd.delta = append(nd.delta, o)
-		a.enqueue(n)
+	if !nd.pts.add(o) {
+		return
 	}
+	if nd.summary {
+		// Forward at once: a summary node never enters the worklist, so
+		// neither the work count nor the budget sees it. Its copies lead to
+		// load destinations, never to summary nodes, so this recurses once.
+		for _, to := range nd.copies {
+			a.addObj(to, o)
+		}
+		return
+	}
+	nd.delta = append(nd.delta, o)
+	a.enqueue(n)
 }
 
 func (a *analysis) addCopy(from, to int) {
@@ -529,7 +566,7 @@ func (a *analysis) snapshot() {
 	}
 	a.tracer.Event(obs.Event{Kind: obs.EvSolver,
 		N1: int64(a.work), N2: int64(len(a.worklist)),
-		N3: int64(len(a.nodes)), N4: int64(len(a.objs))})
+		N3: int64(a.numNodes()), N4: int64(len(a.objs))})
 }
 
 func (a *analysis) solve() {
