@@ -68,12 +68,6 @@ type Options struct {
 	// JavaScript closures make this unsound (see DESIGN.md), so the default
 	// performs an environment flush as well.
 	MuJSLocals bool
-	// AbortCFOnNativeWrite mimics the paper's implementation, which aborts
-	// counterfactual execution at any native call that is not known to be
-	// side-effect free. Our natives mutate the instrumented heap through
-	// journaled operations and are therefore undoable; the default only
-	// aborts on External natives (DOM and console-like effects).
-	AbortCFOnNativeWrite bool
 	// MaxFlushes stops the analysis after this many heap flushes (0 =
 	// unlimited). The paper uses 1000.
 	MaxFlushes int
@@ -200,6 +194,11 @@ type Analysis struct {
 	evalCache map[string]*ir.Function
 	rng       uint64
 	stopped   error
+	// tracker and plain run the shared native behaviours (natives.go);
+	// readsDet accumulates the determinacy of what the running behaviour
+	// has read through tracker, and is true between native calls.
+	tracker, plain *host
+	readsDet       bool
 	// curIn is the instruction currently executing, tracked so the panic
 	// boundary can report where a crash happened.
 	curIn ir.Instr
@@ -442,35 +441,6 @@ func (a *Analysis) NewErrorObj(name, msg string, det bool) *DObj {
 
 // SetGlobal defines a global binding (for embedders like the DOM bridge).
 func (a *Analysis) SetGlobal(name string, v Value) { a.setOwn(a.Global, name, v) }
-
-// SetProp writes a property through the journaled write path.
-func (a *Analysis) SetProp(o *DObj, name string, v Value) { a.setOwn(o, name, v) }
-
-// GetProp reads an own property of o.
-func (a *Analysis) GetProp(o *DObj, name string) (Value, bool) { return a.getOwn(o, name) }
-
-// ToNumberPub exposes JavaScript ToNumber for embedders.
-func (a *Analysis) ToNumberPub(v Value) float64 { return a.toNumber(v) }
-
-// ToStringPub exposes JavaScript ToString for embedders, with the
-// conversion's determinacy.
-func (a *Analysis) ToStringPub(v Value) (string, bool) { return a.toString(v) }
-
-// DefNativeOn installs a native function as a property of o. When external,
-// the native aborts counterfactual execution (it has effects outside the
-// instrumented, journal-protected heap).
-func (a *Analysis) DefNativeOn(o *DObj, name string, fn func(*Analysis, Value, []Value) (Value, error), external bool) {
-	nat := a.NewNativeObj(name, fn)
-	nat.Native.External = external
-	a.setOwn(o, name, ObjV(nat, true))
-}
-
-// MarkObjectIndeterminate forces every property of o indeterminate and the
-// record open, used by embedders importing host data with an indeterminacy
-// policy (e.g. DOM node lists).
-func (a *Analysis) MarkObjectIndeterminate(o *DObj) {
-	a.openRecord(o, false)
-}
 
 // LookupGlobal reads a global binding (for embedders and tests), returning
 // the value, whether it exists, and whether the lookup path is determinate.

@@ -467,12 +467,12 @@ func compareGlobals(it *interp.Interp, a *core.Analysis) string {
 	return ""
 }
 
-// snapInterp renders a concrete value structurally: primitives via
-// JavaScript ToString, objects as own properties in insertion order plus
-// any user-created prototype.
+// snapInterp renders a concrete value structurally: primitives as the
+// console displays them (keeping -0 apart from 0), objects as own
+// properties in insertion order plus any user-created prototype.
 func snapInterp(v interp.Value, depth int, protos map[*interp.Obj]bool) string {
 	if v.Kind != interp.Object {
-		return interp.ToString(v)
+		return interp.ToDisplay(v)
 	}
 	o := v.O
 	if o.Fn != nil || o.Native != nil {

@@ -38,10 +38,12 @@ import (
 	"determinacy/internal/obs"
 )
 
-// Schema versions the logical cache content (key derivation and record
-// shape) independently of the storage framing: a Schema bump changes every
-// key, so old entries become unreachable rather than misread.
-const Schema = 2
+// Schema versions the logical cache content (key derivation, record
+// shape, and the analysis semantics that produced the facts) independently
+// of the storage framing: a Schema bump changes every key, so old entries
+// become unreachable rather than misread. 3: native models read the
+// contents of arrays they convert, and natives follow ES5 more closely.
+const Schema = 3
 
 // DefaultMemEntries bounds the in-memory LRU of decoded records; disk
 // entries are unbounded.

@@ -200,7 +200,7 @@ func (o *Obj) Set(name string, v Value) {
 			o.setArrayLength(v)
 			return
 		}
-		if idx, ok := arrayIndex(name); ok {
+		if idx, ok := ArrayIndex(name); ok {
 			if cur := o.ArrayLength(); idx >= cur {
 				o.setRaw("length", NumberVal(float64(idx+1)))
 			}
@@ -262,7 +262,8 @@ func (o *Obj) setArrayLength(v Value) {
 	o.setRaw("length", NumberVal(float64(n)))
 }
 
-func arrayIndex(name string) (int, bool) {
+// ArrayIndex reports whether name is an array index, and which.
+func ArrayIndex(name string) (int, bool) {
 	if name == "" {
 		return 0, false
 	}
@@ -381,6 +382,9 @@ func ToString(v Value) string {
 	case Bool:
 		return strconv.FormatBool(v.B)
 	case Number:
+		if v.N == 0 {
+			return "0" // ES5 9.8.1: ToString(-0) is "0"
+		}
 		return ast.FormatNumber(v.N)
 	case String:
 		return v.S
@@ -394,51 +398,13 @@ func ToString(v Value) string {
 	return "?"
 }
 
-// toPrimitive converts an object to a primitive using the built-in behaviour
-// of arrays, functions and errors. User-defined toString/valueOf are not
-// modeled (paper §4 makes the same exclusion).
 func toPrimitive(v Value) Value {
 	if v.Kind != Object {
 		return v
 	}
-	o := v.O
-	switch o.Class {
-	case "Array":
-		n := o.ArrayLength()
-		parts := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			el, ok := o.Get(strconv.Itoa(i))
-			if !ok || el.Kind == Undefined || el.Kind == Null {
-				parts = append(parts, "")
-			} else {
-				parts = append(parts, ToString(el))
-			}
-		}
-		return StringVal(strings.Join(parts, ","))
-	case "Function":
-		name := ""
-		if o.Fn != nil {
-			name = o.Fn.Name
-		} else if o.Native != nil {
-			name = o.Native.Name
-		}
-		return StringVal("function " + name + "() { [native or user code] }")
-	case "Error":
-		name := "Error"
-		if v, ok := o.Lookup("name"); ok {
-			name = ToString(v)
-		}
-		msg := ""
-		if v, ok := o.Lookup("message"); ok {
-			msg = ToString(v)
-		}
-		if msg == "" {
-			return StringVal(name)
-		}
-		return StringVal(name + ": " + msg)
-	default:
-		return v // callers map this to "[object Object]" / NaN
-	}
+	// The conversion only reads through the host, which needs no
+	// interpreter for that.
+	return ToPrimitive[Value](host{}, v)
 }
 
 // ToInt32 converts per the ECMAScript ToInt32 abstract operation.
@@ -496,9 +462,11 @@ func LooseEquals(a, b Value) bool {
 	case b.Kind == Bool:
 		return LooseEquals(a, NumberVal(ToNumber(b)))
 	case a.Kind == Object && (b.Kind == Number || b.Kind == String):
-		return LooseEquals(toPrimitive(a), b)
+		// ToString, not toPrimitive: a plain object stays an object under
+		// toPrimitive, and recursing on it never ended.
+		return LooseEquals(StringVal(ToString(a)), b)
 	case b.Kind == Object && (a.Kind == Number || a.Kind == String):
-		return LooseEquals(a, toPrimitive(b))
+		return LooseEquals(a, StringVal(ToString(b)))
 	}
 	return false
 }
@@ -525,10 +493,14 @@ func TypeOf(v Value) string {
 	return "undefined"
 }
 
-// ToDisplay renders a value for console output and diagnostics.
+// ToDisplay renders a value for console output and diagnostics. Numbers
+// print as the AST printer writes them, so -0 shows as "-0".
 func ToDisplay(v Value) string {
-	if v.Kind == String {
+	switch v.Kind {
+	case String:
 		return v.S
+	case Number:
+		return ast.FormatNumber(v.N)
 	}
 	if v.Kind == Object && v.O.Class == "Object" {
 		var b strings.Builder
@@ -560,8 +532,11 @@ func ToDisplay(v Value) string {
 }
 
 func shortDisplay(v Value) string {
-	if v.Kind == String {
+	switch v.Kind {
+	case String:
 		return ast.QuoteString(v.S)
+	case Number:
+		return ast.FormatNumber(v.N)
 	}
 	if v.Kind == Object {
 		switch v.O.Class {
